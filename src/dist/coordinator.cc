@@ -156,10 +156,12 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     auto eval = [&plan](int /*p*/, Site* site, double* cpu) {
       return site->EvalBase(plan.base, cpu);
     };
+    const int lanes = WaveLanes(local_threads_, roster, base_sites,
+                                {plan.base.source_table});
     SKALLA_ASSIGN_OR_RETURN(
         std::vector<std::string> replies,
         DriveRoundWithRetries(&network_, retry, &rm, &roster, base_sites,
-                              down, reply_to, "B_i", eval, parallel_sites_,
+                              down, reply_to, "B_i", eval, lanes,
                               LinkModel::kSharedLink, wire_format));
     double coord_cpu = 0;
     for (size_t p = 0; p < replies.size(); ++p) {
@@ -416,8 +418,11 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       }
     }
 
-    // ---- Phase B: fault-tolerant per-site exchange (ship, evaluate in
-    //      parallel when enabled, reply), retried per RetryPolicy. ----
+    // ---- Phase B: fault-tolerant per-site exchange (ship, evaluate —
+    //      fanned out over the wave's lanes — reply), retried per
+    //      RetryPolicy. The lane count is sized on the unsplit
+    //      participants: a helper slot rescans part of its straggler's
+    //      rows, not new ones. ----
     const std::vector<int> reply_to(drive_participants.size(),
                                     kCoordinatorId);
     auto eval = [&](int p, Site* site, double* cpu) {
@@ -433,11 +438,13 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       input.detail_hi = ranges[static_cast<size_t>(p)].second;
       return site->EvalRound(input, cpu);
     };
+    const int lanes = WaveLanes(local_threads_, roster, participants,
+                                round.DetailTables());
     SKALLA_ASSIGN_OR_RETURN(
         std::vector<std::string> replies,
         DriveRoundWithRetries(&network_, retry, &rm, &roster,
                               drive_participants, down, reply_to, "H_i",
-                              eval, parallel_sites_, LinkModel::kSharedLink,
+                              eval, lanes, LinkModel::kSharedLink,
                               wire_format));
 
     // Feed the measured per-slot wall times back to the detector (primary

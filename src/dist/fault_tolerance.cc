@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "gmdj/local_eval.h"
@@ -46,6 +47,16 @@ namespace {
 
 enum class FailureKind { kNone, kUnreachable, kTimeout };
 
+/// What one site task of a wave hands back to the slot-order upstream
+/// loop: the encoded reply, never the boxed H table.
+struct SiteReply {
+  Status status;               ///< non-OK: the evaluation failed
+  std::string payload;         ///< H_i encoded in the round's reply format
+  int64_t rows = 0;            ///< rows of H_i
+  size_t baseline_bytes = 0;   ///< SKL1 full-ship size of H_i
+  double cpu_sec = 0;          ///< the site's evaluation seconds
+};
+
 // Per-site registry instruments of the wave driver — the continuous skew
 // signal the ROADMAP's adaptive-execution item consumes (the per-query
 // equivalent lives in RoundMetrics). The per-site lookup builds a labeled
@@ -69,7 +80,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     SimNetwork* net, const RetryPolicy& retry, RoundMetrics* rm,
     SiteRoster* roster, const std::vector<int>& participants,
     const std::vector<DownMessage>& down, const std::vector<int>& reply_to,
-    const std::string& reply_label, const SiteEvalFn& eval, bool parallel,
+    const std::string& reply_label, const SiteEvalFn& eval, int lanes,
     LinkModel link_model, WireFormat reply_format) {
   obs::ScopedSpan drive_span("round.drive", obs::kTrackCoordinator);
   if (drive_span.armed()) drive_span.set_detail(rm->label);
@@ -183,10 +194,10 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       eligible.push_back(p);
     }
 
-    // ---- Local evaluation (parallel across sites when enabled). ----
-    std::vector<Result<Table>> outcomes(
-        n, Result<Table>(Status::Internal("not evaluated")));
-    std::vector<double> cpus(n, 0.0);
+    // ---- Site tasks: local evaluation plus reply encoding, fanned out
+    //      over the wave's lanes. Each task frees its boxed H table before
+    //      it returns, so only the encoded payloads outlive the wave. ----
+    std::vector<SiteReply> outcomes(n);
     auto eval_one = [&](size_t p) {
       const int sid = participants[p];
       // Local evaluation runs on pool threads; home its spans (and the
@@ -199,47 +210,59 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         span.set_detail("site " + std::to_string(sid) + " attempt " +
                         std::to_string(attempt));
       }
-      outcomes[p] = eval(static_cast<int>(p), roster->active(sid), &cpus[p]);
+      SiteReply& reply = outcomes[p];
+      Result<Table> table =
+          eval(static_cast<int>(p), roster->active(sid), &reply.cpu_sec);
+      if (!table.ok()) {
+        reply.status = table.status();
+        return;
+      }
+      reply.rows = table->num_rows();
+      reply.payload = Serializer::SerializeTable(*table, reply_format);
+      reply.baseline_bytes = Serializer::WireSize(*table, WireFormat::kSkl1);
     };
-    if (parallel && eligible.size() > 1) {
+    Stopwatch wave_sw;
+    if (lanes > 1 && eligible.size() > 1) {
       // Site tasks of a wave run on the shared pool (one task per slot,
       // not one OS thread per site); each task's morsel-driven local
-      // evaluation subdivides further on the same pool.
+      // evaluation subdivides further on the same pool under the same cap.
       ThreadPool::Shared().ParallelFor(
           static_cast<int64_t>(eligible.size()),
-          [&](int64_t i) { eval_one(eligible[static_cast<size_t>(i)]); });
+          [&](int64_t i) { eval_one(eligible[static_cast<size_t>(i)]); },
+          lanes);
     } else {
       for (size_t p : eligible) eval_one(p);
     }
+    rm->wave_wall_sec += wave_sw.ElapsedSeconds();
 
     // ---- Upstream wave + deadline check (deterministic slot order). ----
     for (size_t p : eligible) {
       const int sid = participants[p];
       Site* site = roster->active(sid);
+      SiteReply& reply = outcomes[p];
       // Non-fault evaluation errors are logic bugs, not outages: propagate.
-      SKALLA_ASSIGN_OR_RETURN(Table reply_table, std::move(outcomes[p]));
-      std::string payload =
-          Serializer::SerializeTable(reply_table, reply_format);
+      SKALLA_RETURN_NOT_OK(reply.status);
+      const size_t payload_bytes = reply.payload.size();
+      const double cpu = reply.cpu_sec;
       const TransferOutcome out = net->Transfer(
-          site->id(), reply_to[p], payload.size(), reply_table.num_rows(),
-          reply_label, attempt, TransferDirection::kToCoordinator);
-      rm->bytes_to_coord += payload.size();
-      rm->groups_to_coord += reply_table.num_rows();
+          site->id(), reply_to[p], payload_bytes, reply.rows, reply_label,
+          attempt, TransferDirection::kToCoordinator);
+      rm->bytes_to_coord += payload_bytes;
+      rm->groups_to_coord += reply.rows;
       if (down[p].rebalance && attempt == 0) {
-        rm->bytes_rebalance += payload.size();
-        rm->groups_rebalance_to_coord += reply_table.num_rows();
+        rm->bytes_rebalance += payload_bytes;
+        rm->groups_rebalance_to_coord += reply.rows;
       }
       if (obs::MetricsEnabled()) {
         static obs::Counter& shipped_total =
             obs::GetCounter("skalla_dist_bytes_shipped_total");
-        shipped_total.Add(payload.size());
-        SiteBytesCounter(sid, /*to_site=*/false).Add(payload.size());
+        shipped_total.Add(payload_bytes);
+        SiteBytesCounter(sid, /*to_site=*/false).Add(payload_bytes);
       }
-      rm->bytes_baseline_skl1 +=
-          Serializer::WireSize(reply_table, WireFormat::kSkl1);
+      rm->bytes_baseline_skl1 += reply.baseline_bytes;
       if (attempt > 0) {
-        rm->bytes_retransmitted += payload.size();
-        rm->groups_retry_to_coord += reply_table.num_rows();
+        rm->bytes_retransmitted += payload_bytes;
+        rm->groups_retry_to_coord += reply.rows;
       }
       const double deadline = retry.DeadlineSeconds(attempt);
       if (!out.delivered) {
@@ -247,47 +270,47 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         static obs::Counter& drops_total =
             obs::GetCounter("skalla_dist_drops_total");
         drops_total.Increment();
-        rm->site_cpu_sum_sec += cpus[p];  // the site did do the work
-        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpus[p]);
+        rm->site_cpu_sum_sec += cpu;  // the site did do the work
+        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
         last_failure[p] = FailureKind::kUnreachable;
         // The coordinator waited through the whole exchange before giving
         // up on the reply.
         charge[p] += retry.deadline_enabled() ? deadline
                                               : down_sec[p] + out.seconds;
         journal_site_event(obs::JournalEvent::kAttemptFinish, sid, attempt,
-                           cpus[p], "lost-up");
+                           cpu, "lost-up");
         continue;
       }
-      const double attempt_sec = down_sec[p] + cpus[p] + out.seconds;
+      const double attempt_sec = down_sec[p] + cpu + out.seconds;
       if (retry.deadline_enabled() && attempt_sec > deadline) {
         rm->timeouts++;
         static obs::Counter& timeouts_total =
             obs::GetCounter("skalla_dist_timeouts_total");
         timeouts_total.Increment();
-        rm->site_cpu_sum_sec += cpus[p];
-        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpus[p]);
+        rm->site_cpu_sum_sec += cpu;
+        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
         last_failure[p] = FailureKind::kTimeout;
         charge[p] += deadline;
         journal_site_event(obs::JournalEvent::kAttemptTimeout, sid, attempt,
-                           cpus[p], "");
+                           cpu, "");
         continue;
       }
       charge[p] += down_sec[p] + out.seconds;
       // Track the fastest and slowest successful site alongside the max —
       // PROFILE's min/avg/max column and straggler flag come from these.
       rm->site_cpu_min_sec = rm->slowest_site < 0
-                                 ? cpus[p]
-                                 : std::min(rm->site_cpu_min_sec, cpus[p]);
-      if (rm->slowest_site < 0 || cpus[p] > rm->site_cpu_max_sec) {
+                                 ? cpu
+                                 : std::min(rm->site_cpu_min_sec, cpu);
+      if (rm->slowest_site < 0 || cpu > rm->site_cpu_max_sec) {
         rm->slowest_site = sid;
       }
-      rm->site_cpu_max_sec = std::max(rm->site_cpu_max_sec, cpus[p]);
-      rm->site_cpu_sum_sec += cpus[p];
-      rm->site_seconds[p] = cpus[p];
-      if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpus[p]);
+      rm->site_cpu_max_sec = std::max(rm->site_cpu_max_sec, cpu);
+      rm->site_cpu_sum_sec += cpu;
+      rm->site_seconds[p] = cpu;
+      if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
       journal_site_event(obs::JournalEvent::kAttemptFinish, sid, attempt,
-                         cpus[p], "ok");
-      replies[p] = std::move(payload);
+                         cpu, "ok");
+      replies[p] = std::move(reply.payload);
       done[p] = true;
     }
 
@@ -344,6 +367,24 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       scan_after.morsels_vectorized - scan_before.morsels_vectorized;
   rm->morsels_scalar += scan_after.morsels_scalar - scan_before.morsels_scalar;
   return replies;
+}
+
+int WaveLanes(int local_threads, const SiteRoster& roster,
+              const std::vector<int>& participants,
+              const std::vector<std::string>& tables) {
+  const int quota = local_threads > 0 ? local_threads
+                                      : ThreadPool::DefaultThreadCount();
+  if (quota <= 1 || participants.size() <= 1) return 1;
+  int64_t rows = 0;
+  for (const int sid : participants) {
+    for (const std::string& table : tables) {
+      // A missing relation counts 0 rows; the evaluation reports it.
+      Result<std::shared_ptr<const Table>> t =
+          roster.active(sid)->catalog().GetTable(table);
+      if (t.ok()) rows += (*t)->num_rows();
+    }
+  }
+  return rows >= kDefaultMorselRows ? quota : 1;
 }
 
 }  // namespace skalla

@@ -104,8 +104,12 @@ enum class LinkModel {
 /// kDeadlineExceeded status — never a partial answer.
 ///
 /// All transfers happen on the calling thread in deterministic slot order
-/// (wave by wave); only local evaluation is parallelized when `parallel`
-/// is set, so the network transfer/event logs are identical either way.
+/// (wave by wave). Only the per-site task — local evaluation plus encoding
+/// of the reply — fans out, over at most `lanes` shared-pool lanes (see
+/// WaveLanes); reply accounting, retries, failover and the caller's merge
+/// stay in slot order, so bytes, results and the network transfer/event
+/// logs are identical for every lane count. Each wave's evaluation-phase
+/// wall time is added to RoundMetrics::wave_wall_sec.
 ///
 /// `reply_to[p]` is the endpoint the reply travels to (the coordinator, or
 /// an aggregation-tree parent). Retry, timeout, drop, failover, and
@@ -118,9 +122,24 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     SimNetwork* net, const RetryPolicy& retry, RoundMetrics* rm,
     SiteRoster* roster, const std::vector<int>& participants,
     const std::vector<DownMessage>& down, const std::vector<int>& reply_to,
-    const std::string& reply_label, const SiteEvalFn& eval, bool parallel,
+    const std::string& reply_label, const SiteEvalFn& eval, int lanes,
     LinkModel link_model = LinkModel::kSharedLink,
     WireFormat reply_format = DefaultWireFormat());
+
+/// \brief The lane count of one round's site waves.
+///
+/// A query has one lane quota, `local_threads` (ExecHooks::local_threads,
+/// set_local_threads, the server's THREADS n; 0 = the SKALLA_THREADS
+/// default). It bounds both levels of parallelism: a wave's site tasks
+/// fan out over at most that many lanes, and each site's morsel scan
+/// passes the same per-call cap. Fanning out pays only for scan-sized
+/// work, so the existing morsel grain gates it: the result is the quota
+/// when it is above 1 and `tables` hold at least one morsel
+/// (kDefaultMorselRows) of rows in total across the sites serving
+/// `participants`, and 1 — the sequential site loop — otherwise.
+int WaveLanes(int local_threads, const SiteRoster& roster,
+              const std::vector<int>& participants,
+              const std::vector<std::string>& tables);
 
 }  // namespace skalla
 

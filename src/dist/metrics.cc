@@ -149,6 +149,12 @@ double ExecutionMetrics::SiteCpuSeconds() const {
   return total;
 }
 
+double ExecutionMetrics::WaveWallSeconds() const {
+  double total = 0;
+  for (const RoundMetrics& r : rounds) total += r.wave_wall_sec;
+  return total;
+}
+
 double ExecutionMetrics::CoordCpuSeconds() const {
   double total = 0;
   for (const RoundMetrics& r : rounds) total += r.coord_cpu_sec;

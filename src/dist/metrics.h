@@ -18,6 +18,11 @@ struct RoundMetrics {
   double site_cpu_max_sec = 0;   ///< slowest site (sites run in parallel)
   double site_cpu_min_sec = 0;   ///< fastest successful site
   double site_cpu_sum_sec = 0;   ///< aggregate site work
+  /// Wall seconds of the round's evaluation phases (Σ over waves), timed
+  /// once in the wave driver. With a wave fanned out over several lanes
+  /// it falls below site_cpu_sum_sec — the overlap; on the sequential
+  /// site loop it is the sum plus reply encoding.
+  double wave_wall_sec = 0;
   /// Site id of the slowest successful evaluation — the straggler that set
   /// site_cpu_max_sec (-1 before any site succeeds). Surfaced by the
   /// PROFILE verb's per-round skew column.
@@ -121,6 +126,7 @@ struct ExecutionMetrics {
   /// wins; 1.0 when nothing was saved or nothing was shipped).
   double CompressionRatio() const;
   double SiteCpuSeconds() const;       ///< Σ per-round max (parallel model)
+  double WaveWallSeconds() const;      ///< Σ RoundMetrics::wave_wall_sec
   double CoordCpuSeconds() const;
   double CommSeconds() const;
   double ResponseSeconds() const;

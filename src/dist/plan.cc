@@ -6,6 +6,13 @@
 
 namespace skalla {
 
+std::vector<std::string> PlanRound::DetailTables() const {
+  std::vector<std::string> tables;
+  tables.reserve(ops.size());
+  for (const GmdjOp& op : ops) tables.push_back(op.detail_table);
+  return tables;
+}
+
 size_t DistributedPlan::NumOps() const {
   size_t n = 0;
   for (const PlanRound& round : rounds) n += round.ops.size();

@@ -37,6 +37,10 @@ struct PlanRound {
   /// when column pruning is enabled; coordinators project X onto these
   /// columns (after any ship-predicate filtering) before shipping.
   std::vector<std::string> ship_cols;
+
+  /// The detail relation each operator scans, in operator order (one entry
+  /// per operator, so a chain over one relation lists it per scan).
+  std::vector<std::string> DetailTables() const;
 };
 
 /// \brief A distributed evaluation plan for a GMDJ expression.

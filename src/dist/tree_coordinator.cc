@@ -185,22 +185,25 @@ Result<Table> TreeCoordinator::Execute(const DistributedPlan& plan,
   };
 
   // Runs the fault-tolerant leaf exchange of one round: ships each slot's
-  // down message from its parent, evaluates (in parallel when enabled),
-  // and collects the replies at the parents, retrying per RetryPolicy.
+  // down message from its parent, evaluates (fanned out over the wave's
+  // lanes, sized by WaveLanes on the leaves' copies of `scanned`), and
+  // collects the replies at the parents, retrying per RetryPolicy.
   // `slot_ids` normally names the leaves; a skew-rebalanced round appends
   // a helper slot replying to the straggler's parent.
   auto drive_leaves = [&](const std::vector<int>& slot_ids,
                           const std::vector<int>& reply_to,
                           const std::vector<DownMessage>& down,
                           const std::string& reply_label,
+                          const std::vector<std::string>& scanned,
                           const SiteEvalFn& eval,
                           RoundMetrics* rm) -> Result<std::vector<Table>> {
+    const int lanes =
+        WaveLanes(local_threads_, roster, participants, scanned);
     SKALLA_ASSIGN_OR_RETURN(
         std::vector<std::string> replies,
         DriveRoundWithRetries(&network_, retry, rm, &roster, slot_ids,
-                              down, reply_to, reply_label, eval,
-                              parallel_sites_, LinkModel::kPerParentLinks,
-                              wire_format));
+                              down, reply_to, reply_label, eval, lanes,
+                              LinkModel::kPerParentLinks, wire_format));
     std::vector<Table> tables(replies.size());
     for (size_t s = 0; s < replies.size(); ++s) {
       SKALLA_ASSIGN_OR_RETURN(tables[s],
@@ -306,7 +309,8 @@ Result<Table> TreeCoordinator::Execute(const DistributedPlan& plan,
     };
     SKALLA_ASSIGN_OR_RETURN(
         std::vector<Table> leaf_results,
-        drive_leaves(participants, leaf_reply_to, down, "B_i", eval, &rm));
+        drive_leaves(participants, leaf_reply_to, down, "B_i",
+                     {plan.base.source_table}, eval, &rm));
     SKALLA_ASSIGN_OR_RETURN(
         Table merged,
         propagate_up(std::move(leaf_results), &rm, "B_i", DistinctUnion));
@@ -469,8 +473,8 @@ Result<Table> TreeCoordinator::Execute(const DistributedPlan& plan,
     };
     SKALLA_ASSIGN_OR_RETURN(
         std::vector<Table> leaf_results,
-        drive_leaves(drive_participants, drive_reply_to, down, "H_i", eval,
-                     &rm));
+        drive_leaves(drive_participants, drive_reply_to, down, "H_i",
+                     round.DetailTables(), eval, &rm));
 
     // Feed the measured per-leaf wall times back to the detector (primary
     // leaves only; a helper's timing reflects the replica's hardware).

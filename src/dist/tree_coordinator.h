@@ -78,11 +78,8 @@ class TreeCoordinator {
     replicas_[site_id] = replica;
   }
 
-  /// Evaluates the leaves of each round on real threads (identical results,
-  /// faster simulation wall-clock); see Coordinator::set_parallel_sites.
-  void set_parallel_sites(bool parallel) { parallel_sites_ = parallel; }
-
-  /// Lanes per leaf's morsel-driven local evaluation; see
+  /// The query's lane quota, bounding both the leaf waves' fan-out and
+  /// each leaf's morsel-driven local evaluation; see
   /// Coordinator::set_local_threads.
   void set_local_threads(int num_threads) { local_threads_ = num_threads; }
 
@@ -98,7 +95,6 @@ class TreeCoordinator {
   std::map<int, Site*> replicas_;
   TreeTopology topology_;
   SimNetwork network_;
-  bool parallel_sites_ = false;
   int local_threads_ = 0;
   SkewDetector* skew_detector_ = nullptr;
 };

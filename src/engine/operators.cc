@@ -1,6 +1,7 @@
 #include "engine/operators.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -85,8 +86,103 @@ Table Distinct(const Table& input) {
   return out;
 }
 
+namespace {
+
+/// δπ over int64 key columns of the columnar snapshot. Distinct key tuples
+/// live row-major in `keys` (a NULL cell is stored as 0 and flagged in the
+/// tuple's bit of `nulls`) and are found through a flat open-addressing
+/// table of tuple ids. Tuples are emitted in first-seen order, the order
+/// the boxed path emits them, and each cell is boxed as the same Value
+/// (int64 or NULL) — so the output is byte-identical. Returns nullopt when
+/// a key column is not a usable int64 column.
+std::optional<Table> TypedDistinctProject(const Table& input,
+                                          const std::vector<int>& indices) {
+  if (indices.empty() || indices.size() > 64) return std::nullopt;
+  const std::shared_ptr<const ColumnarTable> columnar = input.columnar();
+  std::vector<const ColumnarTable::Column*> key_cols;
+  key_cols.reserve(indices.size());
+  for (int idx : indices) {
+    const ColumnarTable::Column& col = columnar->column(idx);
+    if (!col.usable || col.type != ValueType::kInt64) return std::nullopt;
+    key_cols.push_back(&col);
+  }
+  const size_t width = key_cols.size();
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> nulls;
+  std::vector<uint64_t> hashes;
+  std::vector<int64_t> slots(1024, -1);  // tuple ids; -1 = empty
+  size_t mask = slots.size() - 1;
+  std::vector<int64_t> tuple(width);
+  const int64_t rows = input.num_rows();
+  for (int64_t r = 0; r < rows; ++r) {
+    uint64_t null_bits = 0;
+    uint64_t h = 0x9E3779B97F4A7C15ULL;
+    for (size_t k = 0; k < width; ++k) {
+      const ColumnarTable::Column& col = *key_cols[k];
+      const bool valid = col.IsValid(r);
+      tuple[k] = valid ? col.ints[static_cast<size_t>(r)] : 0;
+      if (!valid) null_bits |= uint64_t{1} << k;
+      h = (h ^ (static_cast<uint64_t>(tuple[k]) + (valid ? 0 : 0x5bd1e995)))
+          * 0xBF58476D1CE4E5B9ULL;
+      h ^= h >> 31;
+    }
+    size_t pos = static_cast<size_t>(h) & mask;
+    for (;;) {
+      const int64_t id = slots[pos];
+      if (id < 0) break;
+      const size_t at = static_cast<size_t>(id);
+      if (hashes[at] == h && nulls[at] == null_bits &&
+          std::equal(tuple.begin(), tuple.end(),
+                     keys.begin() + static_cast<std::ptrdiff_t>(at * width))) {
+        break;
+      }
+      pos = (pos + 1) & mask;
+    }
+    if (slots[pos] >= 0) continue;  // seen before
+    slots[pos] = static_cast<int64_t>(hashes.size());
+    keys.insert(keys.end(), tuple.begin(), tuple.end());
+    nulls.push_back(null_bits);
+    hashes.push_back(h);
+    if (hashes.size() * 2 > slots.size()) {  // keep the load under 1/2
+      slots.assign(slots.size() * 2, -1);
+      mask = slots.size() - 1;
+      for (size_t id = 0; id < hashes.size(); ++id) {
+        size_t p = static_cast<size_t>(hashes[id]) & mask;
+        while (slots[p] >= 0) p = (p + 1) & mask;
+        slots[p] = static_cast<int64_t>(id);
+      }
+    }
+  }
+  Table out(ProjectSchema(input.schema(), indices));
+  out.Reserve(static_cast<int64_t>(hashes.size()));
+  for (size_t id = 0; id < hashes.size(); ++id) {
+    Row row;
+    row.reserve(width);
+    for (size_t k = 0; k < width; ++k) {
+      if ((nulls[id] >> k) & 1) {
+        row.emplace_back();
+      } else {
+        row.emplace_back(keys[id * width + k]);
+      }
+    }
+    out.AddRow(std::move(row));
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<Table> DistinctProject(const Table& input,
                               const std::vector<std::string>& cols) {
+  SKALLA_ASSIGN_OR_RETURN(std::vector<int> indices,
+                          ResolveColumns(input.schema(), cols));
+  std::optional<Table> typed = TypedDistinctProject(input, indices);
+  if (typed.has_value()) return std::move(*typed);
+  return DistinctProjectRowPath(input, cols);
+}
+
+Result<Table> DistinctProjectRowPath(const Table& input,
+                                     const std::vector<std::string>& cols) {
   SKALLA_ASSIGN_OR_RETURN(std::vector<int> indices,
                           ResolveColumns(input.schema(), cols));
   RowHasher hasher{&indices};

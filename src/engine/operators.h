@@ -23,9 +23,22 @@ Result<Table> Filter(const Table& input, const ExprPtr& pred);
 Table Distinct(const Table& input);
 
 /// δπ: the paper's typical base-values query `B₀ = π_attrs(R)` with
-/// duplicate elimination, computed in one hashing pass.
+/// duplicate elimination, computed in one hashing pass. When every
+/// projected column is a usable int64 column of input.columnar(), the pass
+/// runs over the typed arrays with a flat hash set; otherwise it takes
+/// DistinctProjectRowPath. Both emit the distinct tuples in first-seen
+/// order, byte-identically. The typed path builds the input's columnar
+/// snapshot if it is not cached yet, so it suits relations whose snapshot
+/// is shared (catalog partitions, which the detail scans snapshot anyway).
 Result<Table> DistinctProject(const Table& input,
                               const std::vector<std::string>& cols);
+
+/// The row-store δπ: boxed rows through a hash set of row pointers. Used
+/// for transient relations (a filtered base source), which have no
+/// columnar snapshot worth building, and as the typed path's reference in
+/// tests.
+Result<Table> DistinctProjectRowPath(const Table& input,
+                                     const std::vector<std::string>& cols);
 
 /// ⊔: multiset union of tables with compatible schemas (the first table's
 /// schema is used for the result).

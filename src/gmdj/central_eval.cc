@@ -7,16 +7,15 @@
 namespace skalla {
 
 Result<Table> EvalBaseQuery(const BaseQuery& base, const Table& source) {
-  const Table* input = &source;
-  Table filtered;
-  if (base.filter != nullptr) {
-    SKALLA_ASSIGN_OR_RETURN(filtered, Filter(source, base.filter));
-    input = &filtered;
+  if (base.filter == nullptr) {
+    return base.distinct ? DistinctProject(source, base.project_cols)
+                         : Project(source, base.project_cols);
   }
-  if (base.distinct) {
-    return DistinctProject(*input, base.project_cols);
-  }
-  return Project(*input, base.project_cols);
+  // The filtered relation is transient: the typed δπ would snapshot all of
+  // its columns only to read the key columns once.
+  SKALLA_ASSIGN_OR_RETURN(Table filtered, Filter(source, base.filter));
+  return base.distinct ? DistinctProjectRowPath(filtered, base.project_cols)
+                       : Project(filtered, base.project_cols);
 }
 
 Result<Table> EvalGmdjExprCentralized(const GmdjExpr& expr,

@@ -76,9 +76,12 @@ std::string FormatQueryProfile(const QueryResult* result,
   os << "=== plan ===\n" << result->plan.Explain();
 
   os << "=== rounds ===\n";
-  os << StrFormat("%-30s %6s %14s %14s %12s %12s %26s %6s\n", "round",
-                  "sites", "out[B/rows]", "in[B/rows]", "coord[s]", "comm[s]",
-                  "site[min/avg/max s]", "slow");
+  // wave[s] is the wall time of the round's site evaluations: next to the
+  // site columns it shows how much of Σ site time overlapped.
+  os << StrFormat("%-30s %6s %14s %14s %12s %12s %26s %12s %10s %6s\n",
+                  "round", "sites", "out[B/rows]", "in[B/rows]", "coord[s]",
+                  "comm[s]", "site[min/avg/max s]", "site_sum[s]", "wave[s]",
+                  "slow");
   for (const RoundMetrics& rm : result->metrics.rounds) {
     const double avg =
         rm.sites > 0 ? rm.site_cpu_sum_sec / static_cast<double>(rm.sites)
@@ -89,7 +92,8 @@ std::string FormatQueryProfile(const QueryResult* result,
     std::string slow_col =
         rm.slowest_site >= 0 ? StrFormat("s%d", rm.slowest_site) : "-";
     os << StrFormat(
-        "%-30s %6d %14s %14s %12.4f %12.4f %26s %6s\n", rm.label.c_str(),
+        "%-30s %6d %14s %14s %12.4f %12.4f %26s %12.4f %10.4f %6s\n",
+        rm.label.c_str(),
         rm.sites,
         StrFormat("%zu/%lld", rm.bytes_to_sites,
                   static_cast<long long>(rm.groups_to_sites))
@@ -97,7 +101,8 @@ std::string FormatQueryProfile(const QueryResult* result,
         StrFormat("%zu/%lld", rm.bytes_to_coord,
                   static_cast<long long>(rm.groups_to_coord))
             .c_str(),
-        rm.coord_cpu_sec, rm.comm_sec, site_col.c_str(), slow_col.c_str());
+        rm.coord_cpu_sec, rm.comm_sec, site_col.c_str(), rm.site_cpu_sum_sec,
+        rm.wave_wall_sec, slow_col.c_str());
     if (rm.retries > 0 || rm.timeouts > 0 || rm.drops > 0 ||
         rm.failovers > 0) {
       os << StrFormat(
@@ -124,6 +129,7 @@ std::string FormatQueryProfile(const QueryResult* result,
      << "detail_rows_matched " << m.DetailRowsMatched() << "\n"
      << StrFormat("response_seconds %.6f\n", m.ResponseSeconds())
      << StrFormat("site_cpu_seconds %.6f\n", m.SiteCpuSeconds())
+     << StrFormat("wave_wall_seconds %.6f\n", m.WaveWallSeconds())
      << StrFormat("coord_cpu_seconds %.6f\n", m.CoordCpuSeconds())
      << StrFormat("comm_seconds %.6f\n", m.CommSeconds());
 

@@ -181,7 +181,6 @@ Result<QueryResult> Warehouse::ExecutePlan(const DistributedPlan& plan,
   NetworkConfig net = net_;
   if (hooks.deadline_sec >= 0.0) net.retry.timeout_sec = hooks.deadline_sec;
   Coordinator coordinator(std::move(site_ptrs), net);
-  coordinator.set_parallel_sites(parallel_sites_);
   coordinator.set_local_threads(
       hooks.local_threads >= 0 ? hooks.local_threads : local_threads_);
   coordinator.set_cancel_flag(hooks.cancel);
@@ -206,7 +205,6 @@ Result<QueryResult> Warehouse::ExecutePlanTree(const DistributedPlan& plan,
   site_ptrs.reserve(sites_.size());
   for (const auto& site : sites_) site_ptrs.push_back(site.get());
   TreeCoordinator coordinator(std::move(site_ptrs), fan_in, net_);
-  coordinator.set_parallel_sites(parallel_sites_);
   coordinator.set_local_threads(local_threads_);
   coordinator.set_skew_detector(&skew_detector_);
   coordinator.network().set_fault_injector(injector_);

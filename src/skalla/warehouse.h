@@ -35,10 +35,11 @@ struct QueryResult {
 /// (src/server/). Every field is optional; default-constructed hooks make
 /// ExecutePlan behave exactly like the hook-less overload.
 struct ExecHooks {
-  /// Morsel-lane quota for this query's local GMDJ evaluation; -1 keeps
-  /// the warehouse default (set_local_threads). The quota bounds how many
-  /// shared-pool lanes one query may occupy, so concurrent queries share
-  /// the pool instead of each grabbing every worker.
+  /// Lane quota for this query; -1 keeps the warehouse default
+  /// (set_local_threads). It is the per-call cap of both parallel levels —
+  /// a round's site wave and each site's morsel scan — so concurrent
+  /// queries share the pool instead of each grabbing every worker, and a
+  /// quota of 1 runs the query on its calling thread alone.
   int local_threads = -1;
 
   /// Per-attempt deadline in simulated seconds for every round exchange,
@@ -198,17 +199,14 @@ class Warehouse {
   /// warehouse keeps ownership. At most one replica per primary.
   Result<Site*> AddReplica(int site_id);
 
-  /// Runs each round's site evaluations on real threads (see
-  /// Coordinator::set_parallel_sites). Identical results, faster
-  /// simulation wall-clock on multi-core machines.
-  void set_parallel_site_execution(bool parallel) {
-    parallel_sites_ = parallel;
-  }
-
-  /// Lanes each site may use for its morsel-driven local GMDJ evaluation
-  /// (see Coordinator::set_local_threads): 0 = the SKALLA_THREADS default
-  /// (hardware concurrency), 1 = sequential local scans. Results are
-  /// byte-identical for every setting (docs/parallelism.md).
+  /// The default lane quota of every query (ExecHooks::local_threads
+  /// overrides it per query): 0 = the SKALLA_THREADS default (hardware
+  /// concurrency), 1 = fully sequential. The quota bounds both the fan-out
+  /// of a round's site wave — taken only when the wave scans at least one
+  /// morsel of rows — and each site's morsel-driven local GMDJ evaluation
+  /// (see Coordinator::set_local_threads; also ExecuteCentralized's scan).
+  /// Results and bytes are identical for every setting
+  /// (docs/parallelism.md).
   void set_local_threads(int num_threads) { local_threads_ = num_threads; }
   int local_threads() const { return local_threads_; }
 
@@ -240,7 +238,6 @@ class Warehouse {
   Catalog central_;
   NetworkConfig net_;
   FaultInjector* injector_ = nullptr;
-  bool parallel_sites_ = false;
   int local_threads_ = 0;
   /// Relation statistics cache for ExecuteAuto (profiled on first use).
   std::map<std::string, RelationStats> stats_cache_;

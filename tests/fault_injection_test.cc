@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "dist/coordinator.h"
+#include "dist/fault_tolerance.h"
 #include "dist/tree_coordinator.h"
+#include "gmdj/local_eval.h"
 #include "net/fault_injector.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
@@ -444,15 +446,26 @@ TEST_F(FaultInjectionTest, MetricsEqualNetworkTotalsUnderRetriesTree) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: sequential and thread-parallel site evaluation observe the
-// identical fault pattern and produce identical bytes. (This test is the
-// prime -DSKALLA_SANITIZE=thread target.)
+// Determinism: a quota-1 query (sequential site loop) and a quota-4 query
+// (site waves fanned out over the pool) observe the identical fault pattern
+// and produce identical bytes. The relation holds more than one morsel of
+// rows so the waves do fan out. (This test is the prime
+// -DSKALLA_SANITIZE=thread target.)
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultInjectionTest, ParallelAndSequentialRunsAreByteIdentical) {
+  TpcConfig config;
+  config.num_rows = kDefaultMorselRows + 4464;  // 70,000
+  config.num_customers = 700;
+  config.seed = 31;
+  const Table tpcr = GenerateTpcr(config);
   for (const bool tree : {false, true}) {
     Warehouse wh(4);
-    Load(&wh);
+    ASSERT_OK(wh.LoadByRange("TPCR", tpcr, "NationKey", 0, 24, {"CustKey"}));
+    std::vector<Site*> sites;
+    for (int i = 0; i < wh.num_sites(); ++i) sites.push_back(&wh.site(i));
+    SiteRoster roster(sites, {});
+    ASSERT_EQ(WaveLanes(4, roster, {0, 1, 2, 3}, {"TPCR"}), 4);
     const GmdjExpr query = queries::CombinedQuery("CustKey");
     ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
                          wh.Plan(query, OptimizerOptions::All()));
@@ -466,14 +479,14 @@ TEST_F(FaultInjectionTest, ParallelAndSequentialRunsAreByteIdentical) {
     injector.SlowSite(/*site=*/2, /*factor=*/3.0);
     wh.set_fault_injector(&injector);
 
-    auto run = [&](bool parallel) -> Result<QueryResult> {
-      wh.set_parallel_site_execution(parallel);
+    auto run = [&](int quota) -> Result<QueryResult> {
+      wh.set_local_threads(quota);
       return tree ? wh.ExecutePlanTree(plan, 2) : wh.ExecutePlan(plan);
     };
 
-    ASSERT_OK_AND_ASSIGN(QueryResult sequential, run(false));
+    ASSERT_OK_AND_ASSIGN(QueryResult sequential, run(1));
     const std::string sequential_log = injector.EventLogToString();
-    ASSERT_OK_AND_ASSIGN(QueryResult parallel, run(true));
+    ASSERT_OK_AND_ASSIGN(QueryResult parallel, run(4));
     const std::string parallel_log = injector.EventLogToString();
 
     EXPECT_EQ(TableBytes(sequential.table), TableBytes(parallel.table));
@@ -484,7 +497,7 @@ TEST_F(FaultInjectionTest, ParallelAndSequentialRunsAreByteIdentical) {
 
     // And the recoverable random schedule never changed the answer.
     wh.set_fault_injector(nullptr);
-    ASSERT_OK_AND_ASSIGN(QueryResult clean, run(true));
+    ASSERT_OK_AND_ASSIGN(QueryResult clean, run(4));
     EXPECT_EQ(TableBytes(sequential.table), TableBytes(clean.table));
   }
 }

@@ -212,7 +212,9 @@ TEST(PartitionerTest, HashPartitioningPreservesMultiset) {
     for (int64_t r = 0; r < data.fragments[s]->num_rows(); ++r) {
       const int64_t key = data.fragments[s]->Get(r, idx).AsInt64();
       auto [it, inserted] = owner.emplace(key, s);
-      if (!inserted) EXPECT_EQ(it->second, s) << "OrderKey " << key;
+      if (!inserted) {
+        EXPECT_EQ(it->second, s) << "OrderKey " << key;
+      }
     }
   }
 }

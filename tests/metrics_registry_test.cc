@@ -328,6 +328,9 @@ TEST(MetricsServingTest, ProfileMatchesExecutionMetricsExactly) {
             ProfileTotal(profile, "bytes_to_sites") +
                 ProfileTotal(profile, "bytes_to_coord"));
   EXPECT_NE(profile.find("=== rounds ==="), std::string::npos);
+  // The wave wall time sits beside the site columns and in the totals.
+  EXPECT_NE(profile.find("wave[s]"), std::string::npos);
+  EXPECT_NE(profile.find("\nwave_wall_seconds "), std::string::npos);
   EXPECT_NE(profile.find("=== per-site load (metrics registry) ==="),
             std::string::npos);
 }

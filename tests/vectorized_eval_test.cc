@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "agg/aggregate.h"
+#include "common/random.h"
+#include "engine/operators.h"
 #include "expr/evaluator.h"
 #include "expr/expr.h"
 #include "gmdj/gmdj.h"
@@ -574,6 +576,67 @@ TEST(VectorizedGmdjTest, ScanCountersAdvance) {
   EXPECT_EQ(after.morsels_vectorized, mid.morsels_vectorized);
   EXPECT_EQ(after.rows_matched - mid.rows_matched,
             mid.rows_matched - before.rows_matched);
+}
+
+// ---------------------------------------------------------------------------
+// Typed δπ (engine/operators.h): the flat-hash-set path over int64 key
+// columns emits exactly the row path's tuples, in the row path's order;
+// keys it does not type (string, double, type-deviant) fall back.
+// ---------------------------------------------------------------------------
+
+void ExpectDistinctProjectMatchesRowPath(const Table& t,
+                                         const std::vector<std::string>& cols) {
+  ASSERT_OK_AND_ASSIGN(Table typed, DistinctProject(t, cols));
+  ASSERT_OK_AND_ASSIGN(Table boxed, DistinctProjectRowPath(t, cols));
+  EXPECT_EQ(TableBits(typed), TableBits(boxed));
+  EXPECT_EQ(Serializer::SerializeTable(typed, WireFormat::kSkl2),
+            Serializer::SerializeTable(boxed, WireFormat::kSkl2));
+}
+
+TEST(TypedDistinctProjectTest, MatchesRowPath) {
+  Table t(MakeSchema({{"a", ValueType::kInt64},
+                      {"b", ValueType::kInt64},
+                      {"s", ValueType::kString},
+                      {"d", ValueType::kDouble}}));
+  Rng rng(17);
+  const std::vector<int64_t> b_values = {0, 1, 2, 3, kI64Min, kI64Max, -1};
+  // ~600 x 8 key pairs over 6000 rows: the flat set grows past its
+  // initial 1024 slots several times.
+  for (int i = 0; i < 6000; ++i) {
+    const Value a = rng.Chance(0.05) ? Value::Null()
+                                     : Value(rng.Uniform(-300, 300));
+    const Value b = rng.Chance(0.1) ? Value::Null() : Value(rng.Pick(b_values));
+    const Value str = rng.Chance(0.1) ? Value::Null()
+                                      : Value(rng.AlphaString(1));
+    const Value d = rng.Chance(0.1) ? Value::Null()
+                                    : Value(static_cast<double>(
+                                          rng.Uniform(0, 20)));
+    t.AddRow({a, b, str, d});
+  }
+  for (const std::vector<std::string>& cols :
+       std::vector<std::vector<std::string>>{{"a"},
+                                             {"b"},
+                                             {"a", "b"},
+                                             {"b", "a", "b"},
+                                             {"s"},
+                                             {"a", "s"},
+                                             {"d"}}) {
+    SCOPED_TRACE(cols.size());
+    ExpectDistinctProjectMatchesRowPath(t, cols);
+  }
+
+  // A NULL-only key column and an empty relation.
+  Table nulls(MakeSchema({{"k", ValueType::kInt64}}));
+  for (int i = 0; i < 3; ++i) nulls.AddRow({Value::Null()});
+  ExpectDistinctProjectMatchesRowPath(nulls, {"k"});
+  ExpectDistinctProjectMatchesRowPath(Table(nulls.schema_ptr()), {"k"});
+
+  // A type-deviant int64 column (a double cell) is not usable: row path.
+  Table deviant(MakeSchema({{"k", ValueType::kInt64}}));
+  deviant.AddRow({Value(int64_t{1})});
+  deviant.AddRow({Value(1.0)});
+  deviant.AddRow({Value(int64_t{1})});
+  ExpectDistinctProjectMatchesRowPath(deviant, {"k"});
 }
 
 TEST(VectorizedGmdjTest, EnvKnobParsing) {

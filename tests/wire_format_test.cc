@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "dist/coordinator.h"
 #include "dist/tree_coordinator.h"
+#include "gmdj/local_eval.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
 #include "storage/serializer.h"
@@ -257,9 +258,9 @@ TEST(WireDeltaTest, ContentHashIsBitExact) {
 
 class WireEndToEndTest : public ::testing::Test {
  protected:
-  void Load(Warehouse* wh) {
+  void Load(Warehouse* wh, int64_t num_rows = 12000) {
     TpcConfig config;
-    config.num_rows = 12000;
+    config.num_rows = num_rows;
     config.num_customers = 800;
     config.num_clerks = 40;
     config.seed = 7;
@@ -275,9 +276,12 @@ class WireEndToEndTest : public ::testing::Test {
   }
 };
 
+// The relation holds more than one morsel of rows, so a quota-4 query fans
+// its site waves out over the pool (WaveLanes) while quota 1 keeps the
+// sequential site loop; both must match the SKL1 reference byte for byte.
 TEST_F(WireEndToEndTest, ResultsAreByteIdenticalAcrossFormats) {
   Warehouse wh(8);
-  Load(&wh);
+  Load(&wh, kDefaultMorselRows + 4464);
   for (const GmdjExpr& query :
        {queries::GroupReductionQuery("CustKey"),
         queries::CombinedQuery("CustKey"),
@@ -285,21 +289,22 @@ TEST_F(WireEndToEndTest, ResultsAreByteIdenticalAcrossFormats) {
     ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
                          wh.Plan(query, OptimizerOptions::None()));
     wh.set_network_config(Config(WireFormat::kSkl1, false));
+    wh.set_local_threads(1);
     ASSERT_OK_AND_ASSIGN(QueryResult reference, wh.ExecutePlan(plan));
     const std::string expected = TableBytes(reference.table);
 
     for (const bool delta : {false, true}) {
-      for (const bool parallel : {false, true}) {
-        SCOPED_TRACE(delta ? "skl2+delta" : "skl2");
+      for (const int quota : {1, 4}) {
+        SCOPED_TRACE(std::string(delta ? "skl2+delta" : "skl2") +
+                     " quota " + std::to_string(quota));
         wh.set_network_config(Config(WireFormat::kSkl2, delta));
-        wh.set_parallel_site_execution(parallel);
+        wh.set_local_threads(quota);
         ASSERT_OK_AND_ASSIGN(QueryResult flat, wh.ExecutePlan(plan));
         EXPECT_EQ(TableBytes(flat.table), expected);
         ASSERT_OK_AND_ASSIGN(QueryResult tree, wh.ExecutePlanTree(plan, 2));
         EXPECT_EQ(TableBytes(tree.table), expected);
       }
     }
-    wh.set_parallel_site_execution(false);
   }
 }
 
