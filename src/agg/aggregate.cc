@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/wrapping_int.h"
 
 namespace skalla {
 
@@ -27,7 +28,9 @@ inline double AddDoubles(double a, double b) {
 Value AddValues(const Value& a, const Value& b) {
   if (a.is_null()) return b;
   if (b.is_null()) return a;
-  if (a.is_int64() && b.is_int64()) return Value(a.AsInt64() + b.AsInt64());
+  if (a.is_int64() && b.is_int64()) {
+    return Value(WrapAdd(a.AsInt64(), b.AsInt64()));
+  }
   return Value(AddDoubles(a.ToDouble(), b.ToDouble()));
 }
 
@@ -242,7 +245,7 @@ void AggState::Update(const Value& v) {
     case AggFunc::kStdDev: {
       acc_ = AddValues(acc_, v);
       const Value square = v.is_int64()
-                               ? Value(v.AsInt64() * v.AsInt64())
+                               ? Value(WrapMul(v.AsInt64(), v.AsInt64()))
                                : Value(v.ToDouble() * v.ToDouble());
       acc_sq_ = AddValues(acc_sq_, square);
       ++count_;
@@ -271,7 +274,7 @@ void AggState::UpdateInt64(int64_t v) {
       if (acc_.is_null()) {
         acc_ = Value(v);
       } else if (acc_.is_int64()) {
-        acc_ = Value(acc_.AsInt64() + v);
+        acc_ = Value(WrapAdd(acc_.AsInt64(), v));
       } else {
         acc_ = Value(acc_.ToDouble() + static_cast<double>(v));
       }
@@ -283,10 +286,10 @@ void AggState::UpdateInt64(int64_t v) {
       // scalar Update — sum, then the same v*v square, then the count.
       if ((acc_.is_null() || acc_.is_int64()) &&
           (acc_sq_.is_null() || acc_sq_.is_int64())) {
-        acc_ = Value(acc_.is_null() ? v : acc_.AsInt64() + v);
-        const int64_t square = v * v;
+        acc_ = Value(acc_.is_null() ? v : WrapAdd(acc_.AsInt64(), v));
+        const int64_t square = WrapMul(v, v);
         acc_sq_ = Value(acc_sq_.is_null() ? square
-                                          : acc_sq_.AsInt64() + square);
+                                          : WrapAdd(acc_sq_.AsInt64(), square));
         ++count_;
         return;
       }
@@ -410,7 +413,7 @@ void AggState::UpdateBatchInt64(const int64_t* values, const uint64_t* valid,
         for (size_t k = 0; k < n; ++k) {
           const int64_t i = sel[k];
           if (!BitmapValid(valid, i)) continue;
-          s += values[i];
+          s = WrapAdd(s, values[i]);
           ++c;
         }
         if (c > 0) {
@@ -436,8 +439,8 @@ void AggState::UpdateBatchInt64(const int64_t* values, const uint64_t* valid,
           const int64_t i = sel[k];
           if (!BitmapValid(valid, i)) continue;
           const int64_t v = values[i];
-          s += v;
-          sq += v * v;
+          s = WrapAdd(s, v);
+          sq = WrapAdd(sq, WrapMul(v, v));
           ++c;
         }
         if (c > 0) {

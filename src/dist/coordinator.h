@@ -22,25 +22,42 @@ inline constexpr size_t kQueryPlanBytes = 512;
 
 /// \brief The Skalla coordinator: drives Alg. GMDJDistribEval.
 ///
-/// The coordinator owns the simulated network and the base-result structure
-/// X. For each round it ships X (possibly per-site reduced) to the
-/// participating sites, receives their sub-aggregate relations H_i, and
-/// synchronizes them into X via the super-aggregates (Theorem 1). The merge
-/// is O(|H|) thanks to a hash index on the key attributes K.
+/// One round engine serves every topology. The coordinator owns the
+/// simulated network and the base-result structure X, and is the root of
+/// each round's aggregation tree (dist/tree_topology.h) over the round's
+/// participating sites. For each round it ships X down the tree, the sites
+/// evaluate their sub-aggregate relations H_i, aggregators merge their
+/// children's relations (Theorem 1 composes at every level), and the root
+/// synchronizes its inbound relations into X via the super-aggregates. The
+/// merge is O(|H|) thanks to a hash index on the key attributes K.
+///
+/// With the default fan-in (0) the tree has depth 1 — the flat
+/// coordinator of the paper: every site exchanges directly with the
+/// coordinator and receives its own group-reduced view of X (Theorem 4).
+/// With a fan-in of at least 2 that is smaller than a round's site count,
+/// aggregators sit between the sites and the root; they receive the
+/// unreduced X, encoded once and forwarded down each internal edge.
+/// Results are identical for every fan-in; only the cost profile differs.
 ///
 /// Sites are borrowed, not owned; they must outlive the coordinator.
 class Coordinator {
  public:
-  Coordinator(std::vector<Site*> sites, NetworkConfig config = NetworkConfig())
-      : sites_(std::move(sites)), network_(config) {}
+  /// `fan_in` is the aggregation tree's fan-in: 0 = flat, as is any
+  /// fan-in below 2 or of at least a round's site count.
+  Coordinator(std::vector<Site*> sites, NetworkConfig config = NetworkConfig(),
+              int fan_in = 0)
+      : sites_(std::move(sites)), network_(config), fan_in_(fan_in) {}
 
   /// Executes a distributed plan and returns the finalized base-result
   /// structure (= the query answer). Fills `metrics` when non-null.
   Result<Table> Execute(const DistributedPlan& plan,
                         ExecutionMetrics* metrics);
 
+  /// The simulated network all traffic is recorded on. Site edges are
+  /// subject to an attached FaultInjector and retried per
+  /// NetworkConfig::retry; aggregator-internal hops are assumed reliable
+  /// (they carry EncodeAggregatorId endpoints).
   SimNetwork& network() { return network_; }
-  const std::vector<Site*>& sites() const { return sites_; }
 
   /// Registers `replica` as the failover target for primary slot
   /// `site_id`. When the primary exhausts its retry budget during a query,
@@ -51,7 +68,6 @@ class Coordinator {
   void AddReplica(int site_id, Site* replica) {
     replicas_[site_id] = replica;
   }
-  const std::map<int, Site*>& replicas() const { return replicas_; }
 
   /// The query's lane quota: 0 = the SKALLA_THREADS default, 1 = fully
   /// sequential. One quota bounds both levels of parallelism on the shared
@@ -61,7 +77,6 @@ class Coordinator {
   /// evaluation (SiteRoundInput::num_threads) passes the same cap. Results
   /// and bytes are identical for every quota (docs/parallelism.md).
   void set_local_threads(int num_threads) { local_threads_ = num_threads; }
-  int local_threads() const { return local_threads_; }
 
   /// Cooperative per-query cancellation (borrowed flag, may be null): the
   /// coordinator polls it at round boundaries and aborts the query with a
@@ -95,9 +110,12 @@ class Coordinator {
 
   /// Shares the SKLD delta-base cache across queries (borrowed; may be
   /// null to keep the default per-query cache). The cache mirrors what
-  /// each site slot last received of X; with delta shipping enabled,
-  /// consecutive queries over slowly-changing base structures then ship
-  /// deltas from the first round instead of re-priming per query. Query
+  /// each site slot last received of X as a child of the coordinator (a
+  /// site under an aggregator drops its entry: it holds the tree's
+  /// broadcast view, whose delta base is per query); with delta shipping
+  /// enabled, consecutive queries over slowly-changing base structures
+  /// then ship deltas from the first round instead of re-priming per
+  /// query. Query
   /// *results* are unaffected — the decoded site view always equals the
   /// shipped fragment, delta or full (DESIGN.md invariant 10) — only
   /// bytes on the wire change. The caller owns synchronization: the cache
@@ -116,9 +134,10 @@ class Coordinator {
   /// evaluating the straggler's upper detail fragment; the two H
   /// fragments merge through the same Theorem 1 fold, byte-identical to
   /// the unsplit round (DESIGN.md invariant 12, docs/skew.md). Only
-  /// single-operator, non-fused rounds are split.
+  /// single-operator, non-fused rounds are split. A helper replies to its
+  /// straggler's tree parent; an aggregator pre-combines the two fragments
+  /// (CombineSubResults), so the levels above see one relation per site.
   void set_skew_detector(SkewDetector* detector) { skew_detector_ = detector; }
-  SkewDetector* skew_detector() const { return skew_detector_; }
 
   /// Looks up a relation schema from the first site that holds a partition
   /// of it (all sites share global relation schemas).
@@ -134,6 +153,7 @@ class Coordinator {
   std::vector<Site*> sites_;
   std::map<int, Site*> replicas_;
   SimNetwork network_;
+  int fan_in_ = 0;  ///< aggregation-tree fan-in; 0 = flat (depth 1)
   int local_threads_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
   RoundObserver round_observer_;

@@ -81,7 +81,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     SiteRoster* roster, const std::vector<int>& participants,
     const std::vector<DownMessage>& down, const std::vector<int>& reply_to,
     const std::string& reply_label, const SiteEvalFn& eval, int lanes,
-    LinkModel link_model, WireFormat reply_format) {
+    WireFormat reply_format) {
   obs::ScopedSpan drive_span("round.drive", obs::kTrackCoordinator);
   if (drive_span.armed()) drive_span.set_detail(rm->label);
   {
@@ -109,7 +109,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
   };
   const size_t n = participants.size();
   // Per-slot wall timings for the skew detector; sized to this drive's
-  // slots (the tree coordinator drives its rounds through one rm too).
+  // slots.
   if (rm->site_seconds.size() < n) rm->site_seconds.resize(n, 0.0);
   const int attempts_per_budget = std::max(1, retry.max_attempts);
   std::vector<std::string> replies(n);
@@ -314,19 +314,17 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       done[p] = true;
     }
 
-    // ---- Fold this wave's link time into the round. ----
-    if (link_model == LinkModel::kSharedLink) {
-      for (size_t p : pending) rm->comm_sec += charge[p];
-    } else {
-      std::map<int, double> per_parent;
-      for (size_t p : pending) per_parent[down[p].from] += charge[p];
-      double wave_comm = 0.0;
-      for (const auto& [parent, sum] : per_parent) {
-        (void)parent;
-        wave_comm = std::max(wave_comm, sum);
-      }
-      rm->comm_sec += wave_comm;
+    // ---- Fold this wave's link time into the round: slots sent from the
+    //      same endpoint share its link, distinct senders run in parallel
+    //      (a flat round's only sender is the coordinator). ----
+    std::map<int, double> per_parent;
+    for (size_t p : pending) per_parent[down[p].from] += charge[p];
+    double wave_comm = 0.0;
+    for (const auto& [parent, sum] : per_parent) {
+      (void)parent;
+      wave_comm = std::max(wave_comm, sum);
     }
+    rm->comm_sec += wave_comm;
 
     // ---- Cull finished slots; exhausted slots fail over or abort. ----
     std::vector<size_t> next_pending;

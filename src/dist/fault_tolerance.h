@@ -82,17 +82,6 @@ struct DownMessage {
 using SiteEvalFn =
     std::function<Result<Table>(int p, Site* site, double* cpu_sec)>;
 
-/// How per-slot communication time composes into round time.
-enum class LinkModel {
-  /// Every exchange serializes on the coordinator's shared access link
-  /// (the flat coordinator): a wave costs the sum over slots.
-  kSharedLink,
-  /// Slots talking to the same parent endpoint share that parent's link;
-  /// distinct parents transfer in parallel (aggregation tree): a wave
-  /// costs the max over parents of the per-parent sum.
-  kPerParentLinks,
-};
-
 /// \brief Drives one round's per-site exchanges under faults.
 ///
 /// For each participant slot, repeatedly performs the full idempotent
@@ -112,9 +101,13 @@ enum class LinkModel {
 /// wall time is added to RoundMetrics::wave_wall_sec.
 ///
 /// `reply_to[p]` is the endpoint the reply travels to (the coordinator, or
-/// an aggregation-tree parent). Retry, timeout, drop, failover, and
-/// retransmission counters are accumulated into `rm`; retransmitted bytes
-/// and groups are also counted as real traffic in the round totals.
+/// an aggregation-tree parent). Slots sent from the same endpoint
+/// (DownMessage::from) share its link, and distinct senders transfer in
+/// parallel: a wave costs the max over senders of their slots' summed link
+/// time — with the coordinator as the only sender, the plain sum. Retry,
+/// timeout, drop, failover, and retransmission counters are accumulated
+/// into `rm`; retransmitted bytes and groups are also counted as real
+/// traffic in the round totals.
 /// Replies travel in `reply_format`; their SKL1-equivalent size is folded
 /// into the round's bytes_baseline_skl1 alongside each DownMessage's
 /// baseline_bytes.
@@ -123,7 +116,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     SiteRoster* roster, const std::vector<int>& participants,
     const std::vector<DownMessage>& down, const std::vector<int>& reply_to,
     const std::string& reply_label, const SiteEvalFn& eval, int lanes,
-    LinkModel link_model = LinkModel::kSharedLink,
     WireFormat reply_format = DefaultWireFormat());
 
 /// \brief The lane count of one round's site waves.

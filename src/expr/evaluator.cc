@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/wrapping_int.h"
 #include "storage/columnar.h"
 #include "storage/table.h"
 
@@ -60,18 +61,18 @@ Value EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
     if (!l.is_int64() || !r.is_int64() || r.AsInt64() == 0) {
       return Value::Null();
     }
-    return Value(l.AsInt64() % r.AsInt64());
+    return Value(WrapMod(l.AsInt64(), r.AsInt64()));
   }
   if (l.is_int64() && r.is_int64()) {
     const int64_t a = l.AsInt64();
     const int64_t b = r.AsInt64();
     switch (op) {
       case BinaryOp::kAdd:
-        return Value(a + b);
+        return Value(WrapAdd(a, b));
       case BinaryOp::kSub:
-        return Value(a - b);
+        return Value(WrapSub(a, b));
       case BinaryOp::kMul:
-        return Value(a * b);
+        return Value(WrapMul(a, b));
       default:
         break;
     }
@@ -262,7 +263,7 @@ Value CompiledExpr::EvalNode(int node_id, const Row* base_row,
         return Value(int64_t{t == Truth::kTrue ? 0 : 1});
       }
       if (operand.is_null()) return Value::Null();
-      if (operand.is_int64()) return Value(-operand.AsInt64());
+      if (operand.is_int64()) return Value(WrapNeg(operand.AsInt64()));
       return Value(-operand.ToDouble());
     }
     case ExprKind::kBinary: {
@@ -658,13 +659,13 @@ CompiledExpr::BatchVal CompiledExpr::EvalNodeBatch(int node_id,
       if (a.rep == Rep::kConst) {
         const Value& v = a.konst;
         if (v.is_null()) return make_const(Value::Null());
-        if (v.is_int64()) return make_const(Value(-v.AsInt64()));
+        if (v.is_int64()) return make_const(Value(WrapNeg(v.AsInt64())));
         if (v.is_double()) return make_const(Value(-v.AsDouble()));
         return fail();  // runtime string: let the scalar path handle it
       }
       if (a.rep == Rep::kInt) {
         int64_t* vals = AcquireI64(sc, n);
-        for (size_t k = 0; k < n; ++k) vals[k] = -a.i[k];
+        for (size_t k = 0; k < n; ++k) vals[k] = WrapNeg(a.i[k]);
         BatchVal out;
         out.rep = Rep::kInt;
         out.i = vals;
@@ -891,7 +892,7 @@ CompiledExpr::BatchVal CompiledExpr::EvalNodeBatch(int node_id,
             continue;
           }
           nulls[k] = 0;
-          vals[k] = elem_i(lv, k) % elem_i(rv, k);
+          vals[k] = WrapMod(elem_i(lv, k), elem_i(rv, k));
         }
         BatchVal out;
         out.rep = Rep::kInt;
@@ -914,9 +915,9 @@ CompiledExpr::BatchVal CompiledExpr::EvalNodeBatch(int node_id,
           nulls[k] = 0;
           const int64_t a = elem_i(lv, k);
           const int64_t b = elem_i(rv, k);
-          vals[k] = op == BinaryOp::kAdd ? a + b
-                    : op == BinaryOp::kSub ? a - b
-                                           : a * b;
+          vals[k] = op == BinaryOp::kAdd ? WrapAdd(a, b)
+                    : op == BinaryOp::kSub ? WrapSub(a, b)
+                                           : WrapMul(a, b);
         }
         BatchVal out;
         out.rep = Rep::kInt;

@@ -78,7 +78,7 @@ class SimNetwork {
   /// simulated seconds it took. `attempt` is the coordinator's retry
   /// counter for the exchange this message belongs to. `dir` defaults to
   /// the direction implied by the endpoints (from == coordinator →
-  /// kToSite); tree coordinators pass it explicitly for aggregator hops.
+  /// kToSite); the round engine passes it explicitly for aggregator hops.
   TransferOutcome Transfer(int from, int to, size_t bytes, int64_t rows,
                            std::string label, int attempt = 0,
                            std::optional<TransferDirection> dir = std::nullopt);

@@ -33,8 +33,10 @@ enum class JournalEvent {
   /// The slot failed over to its replica.
   kFailover,
   /// Coordinator-side synchronization merged one sub-result (`rows`
-  /// groups, `seconds` of merge CPU). Tree-internal combines use an
-  /// aggregator endpoint id in `site` and label "tree".
+  /// groups, `seconds` of merge CPU): the coordinator folding an inbound
+  /// relation into X (`site` = the sending site slot, or the aggregator
+  /// endpoint id of an aggregator child), or an aggregator combining its
+  /// children (`site` = its aggregator endpoint id, label "tree").
   kSyncMerge,
   /// Aware group reduction filtered a site's view of X:
   /// `rows_before` -> `rows` groups kept.

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "common/string_util.h"
-#include "dist/tree_coordinator.h"
+#include "dist/tree_topology.h"
 #include "storage/serializer.h"
 
 namespace skalla {

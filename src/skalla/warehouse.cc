@@ -169,43 +169,30 @@ Result<Site*> Warehouse::AddReplica(int site_id) {
   return out;
 }
 
-Result<QueryResult> Warehouse::ExecutePlan(const DistributedPlan& plan) {
-  return ExecutePlan(plan, ExecHooks());
-}
-
 Result<QueryResult> Warehouse::ExecutePlan(const DistributedPlan& plan,
                                            const ExecHooks& hooks) {
+  return Run(plan, hooks, /*fan_in=*/0);
+}
+
+Result<QueryResult> Warehouse::ExecutePlanTree(const DistributedPlan& plan,
+                                               int fan_in) {
+  return Run(plan, ExecHooks(), fan_in);
+}
+
+Result<QueryResult> Warehouse::Run(const DistributedPlan& plan,
+                                   const ExecHooks& hooks, int fan_in) {
   std::vector<Site*> site_ptrs;
   site_ptrs.reserve(sites_.size());
   for (const auto& site : sites_) site_ptrs.push_back(site.get());
   NetworkConfig net = net_;
   if (hooks.deadline_sec >= 0.0) net.retry.timeout_sec = hooks.deadline_sec;
-  Coordinator coordinator(std::move(site_ptrs), net);
+  Coordinator coordinator(std::move(site_ptrs), net, fan_in);
   coordinator.set_local_threads(
       hooks.local_threads >= 0 ? hooks.local_threads : local_threads_);
   coordinator.set_cancel_flag(hooks.cancel);
   coordinator.set_round_observer(hooks.round_observer);
   coordinator.set_resume(hooks.resume_x, hooks.resume_rounds);
   coordinator.set_ship_cache(hooks.ship_cache);
-  coordinator.set_skew_detector(&skew_detector_);
-  coordinator.network().set_fault_injector(injector_);
-  for (const auto& [sid, replica] : replicas_) {
-    coordinator.AddReplica(sid, replica.get());
-  }
-  QueryResult result;
-  result.plan = plan;
-  SKALLA_ASSIGN_OR_RETURN(result.table,
-                          coordinator.Execute(plan, &result.metrics));
-  return result;
-}
-
-Result<QueryResult> Warehouse::ExecutePlanTree(const DistributedPlan& plan,
-                                               int fan_in) {
-  std::vector<Site*> site_ptrs;
-  site_ptrs.reserve(sites_.size());
-  for (const auto& site : sites_) site_ptrs.push_back(site.get());
-  TreeCoordinator coordinator(std::move(site_ptrs), fan_in, net_);
-  coordinator.set_local_threads(local_threads_);
   coordinator.set_skew_detector(&skew_detector_);
   coordinator.network().set_fault_injector(injector_);
   for (const auto& [sid, replica] : replicas_) {
@@ -230,7 +217,7 @@ Result<QueryResult> Warehouse::ExecuteAuto(const GmdjExpr& expr,
   estimator.AddRelation(plan.base.source_table, *stats);
 
   int fan_in = 0;
-  // Tree execution currently supports full-participation plans only.
+  // CostEstimator::EstimateTree prices full participation only.
   bool tree_eligible = plan.base_sites.empty();
   for (const PlanRound& round : plan.rounds) {
     if (!round.participating_sites.empty()) tree_eligible = false;

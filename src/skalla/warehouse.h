@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "dist/coordinator.h"
 #include "dist/rebalance.h"
-#include "dist/tree_coordinator.h"
 #include "dist/metrics.h"
 #include "dist/plan.h"
 #include "dist/site.h"
@@ -133,18 +132,16 @@ class Warehouse {
   Result<QueryResult> Execute(const GmdjExpr& expr,
                               const OptimizerOptions& options);
 
-  /// Executes a pre-built plan.
-  Result<QueryResult> ExecutePlan(const DistributedPlan& plan);
-
-  /// Executes a pre-built plan with per-query hooks (morsel quota,
-  /// deadline, cancellation, prefix capture/resume) — the entry point of
-  /// the concurrent serving layer (src/server/server.h).
+  /// Executes a pre-built plan, optionally with per-query hooks (morsel
+  /// quota, deadline, cancellation, prefix capture/resume) — the entry
+  /// point of the concurrent serving layer (src/server/server.h).
   Result<QueryResult> ExecutePlan(const DistributedPlan& plan,
-                                  const ExecHooks& hooks);
+                                  const ExecHooks& hooks = ExecHooks());
 
   /// Executes a pre-built plan over a multi-tier aggregation tree with the
-  /// given fan-in (dist/tree_coordinator.h; the paper's future-work
-  /// architecture). Produces the same relation as ExecutePlan with a
+  /// given fan-in (dist/tree_topology.h; the paper's future-work
+  /// architecture) — the same round engine as ExecutePlan, whose flat
+  /// coordinator is the depth-1 tree. Produces the same relation with a
   /// different cost profile.
   Result<QueryResult> ExecutePlanTree(const DistributedPlan& plan,
                                       int fan_in);
@@ -231,6 +228,10 @@ class Warehouse {
  private:
   /// The profiled statistics of `plan`'s base relation (cached).
   Result<const RelationStats*> BaseStats(const DistributedPlan& plan);
+  /// Runs `plan` on a coordinator over every site with the given
+  /// aggregation-tree fan-in (0 = flat).
+  Result<QueryResult> Run(const DistributedPlan& plan, const ExecHooks& hooks,
+                          int fan_in);
   std::vector<std::unique_ptr<Site>> sites_;
   /// Failover replicas keyed by primary site id (owned here, registered
   /// with each coordinator at execution time).

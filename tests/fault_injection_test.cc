@@ -17,7 +17,6 @@
 
 #include "dist/coordinator.h"
 #include "dist/fault_tolerance.h"
-#include "dist/tree_coordinator.h"
 #include "gmdj/local_eval.h"
 #include "net/fault_injector.h"
 #include "skalla/queries.h"
@@ -435,7 +434,7 @@ TEST_F(FaultInjectionTest, MetricsEqualNetworkTotalsUnderRetriesTree) {
 
   std::vector<Site*> sites;
   for (int i = 0; i < wh.num_sites(); ++i) sites.push_back(&wh.site(i));
-  TreeCoordinator coordinator(sites, /*fan_in=*/2, NetworkConfig());
+  Coordinator coordinator(sites, NetworkConfig(), /*fan_in=*/2);
   coordinator.network().set_fault_injector(&injector);
 
   ExecutionMetrics metrics;

@@ -1,10 +1,12 @@
-#include "dist/tree_coordinator.h"
+#include "dist/tree_topology.h"
 
 #include <gtest/gtest.h>
 
+#include "expr/parser.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
 #include "test_util.h"
+#include "storage/serializer.h"
 #include "tpc/dbgen.h"
 
 namespace skalla {
@@ -124,17 +126,53 @@ TEST_F(TreeExecutionTest, TreeReducesRootInboundGroups) {
   EXPECT_EQ(tree.metrics.NumRounds(), flat.metrics.NumRounds());
 }
 
-TEST_F(TreeExecutionTest, RejectsPartialParticipation) {
-  Warehouse wh(4);
-  Load(&wh);
+TEST_F(TreeExecutionTest, PartialParticipationMatchesFlatAndCentralized) {
+  // Only low nations feed the base query and the θ, so the optimizer
+  // excludes the sites whose NationKey range lies above 10 from the GMDJ
+  // round (site exclusion), and the base query may skip them too. Each
+  // round then runs over the tree of its participating sites.
+  Warehouse wh(8);
+  TpcConfig config;
+  config.num_rows = 3000;
+  config.num_customers = 250;
+  config.seed = 31;
+  ASSERT_OK(wh.LoadByRange("TPCR", GenerateTpcr(config), "NationKey", 0, 24,
+                           {"CustKey", "NationKey"}));
+  GmdjExpr query;
+  query.base.source_table = "TPCR";
+  query.base.project_cols = {"CustKey"};
+  ASSERT_OK_AND_ASSIGN(query.base.filter, ParseExpr("NationKey <= 10"));
+  GmdjOp op;
+  op.detail_table = "TPCR";
+  GmdjBlock block;
+  block.aggs = {AggSpec::Count("low_cnt"), AggSpec::Sum("Quantity", "low_sq")};
   ASSERT_OK_AND_ASSIGN(
-      DistributedPlan plan,
-      wh.Plan(queries::GroupReductionQuery("CustKey"),
-              OptimizerOptions::None()));
-  plan.rounds[0].participating_sites = {0, 1};
-  auto result = wh.ExecutePlanTree(plan, 2);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotImplemented);
+      block.theta, ParseExpr("B.CustKey = R.CustKey && R.NationKey <= 10"));
+  op.blocks.push_back(block);
+  query.ops.push_back(op);
+
+  OptimizerOptions options;
+  options.aware_group_reduction = true;
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan, wh.Plan(query, options));
+  ASSERT_EQ(plan.rounds.size(), 1u);
+  const std::vector<int> participants = plan.rounds[0].participating_sites;
+  ASSERT_GE(participants.size(), 3u);
+  ASSERT_LT(participants.size(), 8u);
+  plan.base_sites = participants;
+
+  ASSERT_OK_AND_ASSIGN(Table expected, wh.ExecuteCentralized(query));
+  ASSERT_OK_AND_ASSIGN(QueryResult flat, wh.ExecutePlan(plan));
+  ExpectSameRows(flat.table, expected);
+  for (int fan_in : {2, 3}) {
+    SCOPED_TRACE(fan_in);
+    ASSERT_OK_AND_ASSIGN(QueryResult tree, wh.ExecutePlanTree(plan, fan_in));
+    EXPECT_EQ(Serializer::SerializeTable(tree.table),
+              Serializer::SerializeTable(flat.table));
+    ExpectSameRows(tree.table, expected);
+    for (const RoundMetrics& round : tree.metrics.rounds) {
+      EXPECT_EQ(round.sites, static_cast<int>(participants.size()));
+    }
+  }
 }
 
 TEST_F(TreeExecutionTest, HighLatencyFavorsFlatLowLatencyBandwidthBoundFavorsTree) {

@@ -224,6 +224,11 @@ TEST(EvalBoolBatchTest, ArithmeticNullsDivModZero) {
                            nullptr, nullptr, t);
   ExpectBatchMatchesScalar(Gt(Neg(RCol("i")), Lit(Value(int64_t{0}))),
                            nullptr, nullptr, t);
+  // INT64_MIN % -1 overflows (the hardware division traps); both paths
+  // define it as 0, like every other dividend of -1.
+  ExpectBatchMatchesScalar(Eq(Mod(RCol("i"), Lit(Value(int64_t{-1}))),
+                              Lit(Value(int64_t{0}))),
+                           nullptr, nullptr, t);
 }
 
 TEST(EvalBoolBatchTest, KleeneLogicAndNullTests) {
